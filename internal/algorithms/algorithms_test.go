@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -98,6 +99,35 @@ func TestSampleSortWithDuplicates(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("out[%d] = %d, want %d", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// TestSampleSortSignedKeys sorts all-negative and mixed-sign keys, with the
+// int64 extremes among them. Buckets hold well over the radix cutoff, so
+// the local sort takes its sign-flipped radix path.
+func TestSampleSortSignedKeys(t *testing.T) {
+	const n = 6000
+	nonneg := workload.UniformInts(n, 0, 13) // [0, MaxInt64]
+	negative := make([]int64, n)
+	mixed := make([]int64, n)
+	for i, v := range nonneg {
+		negative[i] = -1 - v // [MinInt64, -1]
+		mixed[i] = v - 1<<62 // about half below zero
+	}
+	mixed[0], mixed[n/2], mixed[n-1] = math.MinInt64, math.MaxInt64, 0
+	bothBackends(t, func(t *testing.T, r runner) {
+		for name, in := range map[string][]int64{"negative": negative, "mixed-sign": mixed} {
+			for _, p := range []int{4, 16} {
+				alg := SampleSort{N: n, Input: blockInput(in, n)}
+				got := r.run(t, p, 5, alg.Program(), alg.Out())
+				want := SeqSort(in)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s p=%d: out[%d] = %d, want %d", name, p, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	})

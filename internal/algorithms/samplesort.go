@@ -1,7 +1,7 @@
 package algorithms
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -130,7 +130,7 @@ func (a SampleSort) Program() core.Program {
 		// Sort all cp*log n samples and pick every (c log n)-th as a pivot.
 		all := make([]int64, row)
 		ctx.ReadLocal(samples, id*row, all)
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+		slices.Sort(all)
 		ctx.Compute(cpu.BlockQuickSort(row))
 		pivots := make([]int64, p-1)
 		for k := 1; k < p; k++ {
@@ -139,15 +139,14 @@ func (a SampleSort) Program() core.Program {
 
 		// Major step 2: bucketize local elements (binary search over the
 		// pivots), stage them contiguously per bucket, and post descriptors
-		// to each bucket's owner.
-		bucketOf := func(v int64) int {
-			// Number of pivots < v; ties stay with the earlier bucket.
-			b := sort.Search(len(pivots), func(k int) bool { return pivots[k] >= v })
-			return b
-		}
+		// to each bucket's owner. An element's bucket is the number of
+		// pivots < v, so ties stay with the earlier bucket.
+		bucketIdx := make([]int32, len(local))
 		counts := make([]int64, p)
-		for _, v := range local {
-			counts[bucketOf(v)]++
+		for i, v := range local {
+			b, _ := slices.BinarySearch(pivots, v)
+			bucketIdx[i] = int32(b)
+			counts[b]++
 		}
 		offs := make([]int64, p)
 		var acc int64
@@ -157,8 +156,8 @@ func (a SampleSort) Program() core.Program {
 		}
 		stagedLocal := make([]int64, len(local))
 		cursor := append([]int64(nil), offs...)
-		for _, v := range local {
-			b := bucketOf(v)
+		for i, v := range local {
+			b := bucketIdx[i]
 			stagedLocal[cursor[b]] = v
 			cursor[b]++
 		}
@@ -220,7 +219,7 @@ func (a SampleSort) Program() core.Program {
 		ctx.Sync() // phase 3: buckets gathered
 
 		// Major step 3: sort the bucket locally.
-		sort.Slice(bucket, func(i, j int) bool { return bucket[i] < bucket[j] })
+		sortInt64(bucket)
 		ctx.Compute(cpu.BlockQuickSort(int(total)))
 
 		// Major step 4: write the sorted bucket to its output position.
