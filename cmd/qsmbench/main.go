@@ -23,14 +23,6 @@
 // loadable in Perfetto. -progress logs per-sweep-point completion to stderr
 // without perturbing the deterministic result tables.
 //
-// Engine tuning: -sched selects the pending-event scheduler (heap, the
-// default 4-ary heap, or calendar for the calendar queue) and
-// -stepprocs=false falls back from state-machine processes to goroutine
-// processes in the converted subsystems. Both switches change only
-// wall-clock speed; every table and metrics file is byte-identical across
-// all four combinations (the differential tests in internal/experiments
-// assert this).
-//
 // Caching: -cache DIR memoizes results in a content-addressed store (the
 // same store cmd/qsmd serves from) keyed by experiment id, the
 // deterministic options, and the code fingerprint — rerunning an identical
@@ -61,33 +53,22 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "experiment id to run (see -list)")
-		all       = flag.Bool("all", false, "run every experiment")
-		list      = flag.Bool("list", false, "list experiment ids")
-		runs      = flag.Int("runs", 5, "repetitions per data point (paper uses 10)")
-		seed      = flag.Int64("seed", 1, "random seed")
-		quick     = flag.Bool("quick", false, "trim sweeps for a fast smoke run")
-		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		parallel  = flag.Int("parallel", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
-		jsonOut   = flag.String("json", "", "write BENCH_<id>.json perf records under this directory (or one combined file if it ends in .json)")
-		metrics   = flag.Bool("metrics", false, "collect metrics and write METRICS_<id>.json per experiment")
-		traceDir  = flag.String("trace", "", "collect sim-time spans and write TRACE_<id>.json Chrome trace files under this directory")
-		progress  = flag.Bool("progress", false, "log per-sweep-point completion to stderr")
-		cacheDir  = flag.String("cache", "", "memoize results in this content-addressed store directory")
-		server    = flag.String("server", "", "submit to a qsmd server at this URL instead of simulating locally")
-		sched     = flag.String("sched", string(sim.SchedHeap), "event scheduler: heap (4-ary heap) or calendar (calendar queue); tables are byte-identical either way")
-		stepProcs = flag.Bool("stepprocs", true, "run converted subsystems as state-machine processes (false falls back to goroutine processes; byte-identical, slower)")
+		exp      = flag.String("exp", "", "experiment id to run (see -list)")
+		all      = flag.Bool("all", false, "run every experiment")
+		list     = flag.Bool("list", false, "list experiment ids")
+		runs     = flag.Int("runs", 5, "repetitions per data point (paper uses 10)")
+		seed     = flag.Int64("seed", 1, "random seed")
+		quick    = flag.Bool("quick", false, "trim sweeps for a fast smoke run")
+		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		parallel = flag.Int("parallel", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
+		jsonOut  = flag.String("json", "", "write BENCH_<id>.json perf records under this directory (or one combined file if it ends in .json)")
+		metrics  = flag.Bool("metrics", false, "collect metrics and write METRICS_<id>.json per experiment")
+		traceDir = flag.String("trace", "", "collect sim-time spans and write TRACE_<id>.json Chrome trace files under this directory")
+		progress = flag.Bool("progress", false, "log per-sweep-point completion to stderr")
+		cacheDir = flag.String("cache", "", "memoize results in this content-addressed store directory")
+		server   = flag.String("server", "", "submit to a qsmd server at this URL instead of simulating locally")
 	)
 	flag.Parse()
-
-	switch sim.Scheduler(*sched) {
-	case sim.SchedHeap, sim.SchedCalendar:
-		sim.DefaultScheduler = sim.Scheduler(*sched)
-	default:
-		fmt.Fprintf(os.Stderr, "qsmbench: unknown -sched %q (want heap or calendar)\n", *sched)
-		os.Exit(2)
-	}
-	sim.UseStepProcs = *stepProcs
 
 	if *list {
 		for _, id := range experiments.IDs() {

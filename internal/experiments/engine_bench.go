@@ -14,8 +14,8 @@ func init() {
 // engineWorkloads are the schedule shapes BENCH_engine.json tracks across
 // PRs: each row drives the raw engine the way one subsystem does, and the
 // table records only simulation-determined values (event counts and final
-// sim time), so it is byte-identical across schedulers, process kinds, and
-// parallelism. The wall-clock side — events/sec — lands in the BENCH record
+// sim time), so it is byte-identical across process kinds and parallelism.
+// The wall-clock side — events/sec — lands in the BENCH record
 // cmd/qsmbench -json wraps around the whole driver.
 var engineWorkloads = []struct {
 	name string

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -66,34 +65,6 @@ func TestCalibDerivation(t *testing.T) {
 	}
 	if c.P != 16 || c.Lat != 1600 || c.O != 400 {
 		t.Errorf("calib params wrong: %+v", c)
-	}
-}
-
-// TestAllExperimentsQuick smoke-runs every driver in quick mode and checks
-// it yields at least one non-empty table.
-func TestAllExperimentsQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweeps in -short mode")
-	}
-	for _, id := range IDs() {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			r, err := Run(id, Options{Seed: 1, Runs: 2, Quick: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(r.Tables) == 0 {
-				t.Fatal("no tables")
-			}
-			for _, tab := range r.Tables {
-				if len(tab.Rows) == 0 {
-					t.Errorf("table %q has no rows", tab.Title)
-				}
-				if !strings.Contains(tab.String(), tab.Columns[0]) {
-					t.Error("rendering lost the header")
-				}
-			}
-		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -12,29 +13,52 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden files")
 
-// goldenIDs are the experiments whose quick-mode output is pinned in
-// testdata/golden/<id>.txt.
-var goldenIDs = []string{"fig2", "fig4"}
+// quickRun is one experiment's quick-mode result and the number of
+// simulator events it took.
+type quickRun struct {
+	res    *Result
+	events uint64
+	err    error
+}
 
-// TestGoldenTables is an absolute anchor: the quick-mode tables of each
-// golden experiment, and the number of simulator events they took, must
-// equal the committed file byte for byte. Determinism tests elsewhere only
-// compare one mode with another, so a change that moves every mode the same
-// way shows up here and nowhere else. Regenerate deliberately with -update.
+// quickRuns memoises runQuick, so the golden and smoke tests simulate each
+// experiment once per test binary rather than once each.
+var quickRuns = map[string]quickRun{}
+
+// runQuick runs experiment id in quick mode (seed 1, 2 runs), or returns the
+// memoised run. Callers must not be parallel: sim.TotalEvents is
+// process-wide, so the event count is only this run's while nothing else
+// simulates.
+func runQuick(t *testing.T, id string) (*Result, uint64) {
+	t.Helper()
+	q, ok := quickRuns[id]
+	if !ok {
+		ev0 := sim.TotalEvents()
+		r, err := Run(id, Options{Seed: 1, Runs: 2, Quick: true})
+		q = quickRun{res: r, events: sim.TotalEvents() - ev0, err: err}
+		quickRuns[id] = q
+	}
+	if q.err != nil {
+		t.Fatal(q.err)
+	}
+	return q.res, q.events
+}
+
+// TestGoldenTables is an absolute anchor: every registered experiment's
+// quick-mode tables, and the number of simulator events they took, must
+// equal testdata/golden/<id>.txt byte for byte. Determinism tests elsewhere
+// only compare one configuration with another (serial with parallel,
+// stepped accessors with their goroutine reference), so a change that moves
+// both the same way shows up here and nowhere else. Regenerate deliberately
+// with -update.
 func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweeps in -short mode")
 	}
-	for _, id := range goldenIDs {
+	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			// Not parallel: sim.TotalEvents is process-wide, so the event
-			// count is only this run's while nothing else simulates.
-			ev0 := sim.TotalEvents()
-			r, err := Run(id, Options{Seed: 1, Runs: 2, Quick: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := fmt.Sprintf("%ssim_events %d\n", r.String(), sim.TotalEvents()-ev0)
+			r, events := runQuick(t, id)
+			got := fmt.Sprintf("%ssim_events %d\n", r.String(), events)
 			path := filepath.Join("testdata", "golden", id+".txt")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -50,6 +74,31 @@ func TestGoldenTables(t *testing.T) {
 			}
 			if got != string(want) {
 				t.Errorf("%s output diverged from %s\ngot:\n%s\nwant:\n%s", id, path, got, want)
+			}
+		})
+	}
+}
+
+// TestAllExperimentsQuick checks that every experiment's quick-mode run
+// yields at least one table, every table with rows and a rendered header.
+// It shares TestGoldenTables' runs through runQuick.
+func TestAllExperimentsQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment sweeps in -short mode")
+	}
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			r, _ := runQuick(t, id)
+			if len(r.Tables) == 0 {
+				t.Fatal("no tables")
+			}
+			for _, tab := range r.Tables {
+				if len(tab.Rows) == 0 {
+					t.Errorf("table %q has no rows", tab.Title)
+				}
+				if !strings.Contains(tab.String(), tab.Columns[0]) {
+					t.Errorf("table %q: rendering lost the header", tab.Title)
+				}
 			}
 		})
 	}

@@ -221,8 +221,8 @@ func (bo bankObs) observe(cfg Config, bank int, arrive, bStart, bEnd sim.Time) {
 
 // pickFn chooses the target bank for one access, drawing from the
 // processor's rng as the pattern requires. Draw count per access must not
-// depend on simulated time, so the stepped and goroutine accessors consume
-// the rng identically.
+// depend on simulated time, so the stepped accessor and its goroutine
+// reference consume the rng identically.
 type pickFn func(pid int, rng *rand.Rand) int
 
 // patternPick returns the bank chooser for a stress pattern.
@@ -238,52 +238,46 @@ func patternPick(cfg Config, pat Pattern) pickFn {
 	}
 }
 
-// oneAccess performs the non-blocking middle of an access — the shared
-// medium (if any) and bank reservations plus their observations — at the
-// instant the request issues (after ReqOverhead). It returns the time the
-// reply reaches the processor. Both accessor forms call it between their two
-// waits.
-func oneAccess(now sim.Time, cfg Config, bank int, banks []*sim.Server, medium *sim.Server, bo bankObs) sim.Time {
+// machine is the state one run's processors share: the configuration, the
+// pattern's bank chooser, the accesses per processor, the bank and medium
+// servers, the observation handles, and each processor's elapsed total.
+type machine struct {
+	cfg    Config
+	pick   pickFn
+	n      int
+	banks  []*sim.Server
+	medium *sim.Server // nil unless cfg.SharedMedium
+	bo     bankObs
+	totals []sim.Time
+}
+
+// access performs the non-blocking middle of an access — the shared medium
+// (if any) and bank reservations plus their observations — at the instant
+// the request issues (after ReqOverhead). It returns the time the reply
+// reaches the processor. An accessor calls it between its two waits.
+func (m *machine) access(now sim.Time, bank int) sim.Time {
+	cfg, bo := &m.cfg, &m.bo
 	arrive := now + cfg.WireLatency
-	if medium != nil {
-		mStart, mEnd := medium.UseAt(now, cfg.MediumTime)
+	if m.medium != nil {
+		mStart, mEnd := m.medium.UseAt(now, cfg.MediumTime)
 		arrive = mEnd + cfg.WireLatency
 		if bo.rec != nil {
 			bo.rec.Span(bo.pid, cfg.Banks, "medium", "frame", uint64(mStart), uint64(mEnd))
 		}
 	}
-	bStart, bEnd := banks[bank].UseAt(arrive, cfg.BankTime)
-	bo.observe(cfg, bank, arrive, bStart, bEnd)
+	bStart, bEnd := m.banks[bank].UseAt(arrive, cfg.BankTime)
+	bo.observe(*cfg, bank, arrive, bStart, bEnd)
 	return bEnd + cfg.WireLatency
 }
 
-// goAccessor is the goroutine form of a processor: n synchronous accesses,
-// each a ReqOverhead advance, the reservations, and an advance to the reply.
-// It is the reference semantics the stepped form must reproduce exactly.
-func goAccessor(cfg Config, pick pickFn, n int, banks []*sim.Server, medium *sim.Server, bo bankObs, totals []sim.Time, pid int) func(*sim.Proc) {
-	return func(p *sim.Proc) {
-		rng := p.Rand()
-		start := p.Now()
-		for a := 0; a < n; a++ {
-			bank := pick(pid, rng)
-			t0 := p.Now()
-			p.Advance(cfg.ReqOverhead)
-			done := oneAccess(p.Now(), cfg, bank, banks, medium, bo)
-			p.Advance(done - p.Now())
-			bo.cycles.Observe(float64(p.Now() - t0))
-		}
-		totals[pid] = p.Now() - start
-	}
-}
-
-// stepAccessor is the state-machine form of the same processor: a two-state
-// Step function the event loop drives directly, with no goroutine. Each
-// access is one trip around stBegin (pick the bank, sleep through the issue
-// overhead) and stService (make the reservations, sleep until the reply).
-// Every rng draw, Server reservation and event-slot consumption happens in
-// the same order as goAccessor's, so runs are byte-identical between forms;
+// stepAccessor is processor pid as a state machine: a two-state Step
+// function the event loop drives directly, with no goroutine. Each access is
+// one trip around stBegin (pick the bank, sleep through the issue overhead)
+// and stService (make the reservations, sleep until the reply). It must
+// match, rng draw for rng draw and event for event, the straight-line
+// goroutine accessor that stepped_test.go keeps as the reference semantics;
 // TestSteppedMatchesGoroutine pins this.
-func stepAccessor(cfg Config, pick pickFn, n int, banks []*sim.Server, medium *sim.Server, bo bankObs, totals []sim.Time, pid int) sim.StepFn {
+func stepAccessor(m *machine, pid int) sim.StepFn {
 	const (
 		stBegin   = iota // at the top of the access loop (or just woken by a reply)
 		stService        // woken after ReqOverhead: issue the access
@@ -300,18 +294,18 @@ func stepAccessor(cfg Config, pick pickFn, n int, banks []*sim.Server, medium *s
 				first = false
 				start = sp.Now()
 			} else {
-				bo.cycles.Observe(float64(sp.Now() - t0))
+				m.bo.cycles.Observe(float64(sp.Now() - t0))
 			}
-			if a == n {
-				totals[pid] = sp.Now() - start
+			if a == m.n {
+				m.totals[pid] = sp.Now() - start
 				return sim.StepDone
 			}
-			bank = pick(pid, sp.Rand())
+			bank = m.pick(pid, sp.Rand())
 			t0 = sp.Now()
 			state = stService
-			return sp.Sleep(cfg.ReqOverhead)
+			return sp.Sleep(m.cfg.ReqOverhead)
 		default: // stService
-			done := oneAccess(sp.Now(), cfg, bank, banks, medium, bo)
+			done := m.access(sp.Now(), bank)
 			a++
 			state = stBegin
 			return sp.SleepUntil(done)
@@ -319,42 +313,12 @@ func stepAccessor(cfg Config, pick pickFn, n int, banks []*sim.Server, medium *s
 	}
 }
 
-// spawnAccessors starts one processor per pid in whichever form
-// sim.UseStepProcs selects, with the per-pid seed derivation both forms
-// share.
-func spawnAccessors(e *sim.Engine, cfg Config, pick pickFn, n int, banks []*sim.Server, medium *sim.Server, bo bankObs, totals []sim.Time, seed int64) {
-	for pid := 0; pid < cfg.Procs; pid++ {
-		name := fmt.Sprintf("proc%d", pid)
-		pseed := int64(stats.Mix64(uint64(seed), uint64(pid)))
-		if sim.UseStepProcs {
-			e.SpawnStepSeeded(name, pseed, stepAccessor(cfg, pick, n, banks, medium, bo, totals, pid))
-		} else {
-			e.SpawnSeeded(name, pseed, goAccessor(cfg, pick, n, banks, medium, bo, totals, pid))
-		}
-	}
-}
+// spawnFn starts processor pid of m on e under the given name and seed.
+type spawnFn func(e *sim.Engine, m *machine, pid int, name string, seed int64)
 
-// finish runs the simulation and folds the per-processor totals and bank
-// busy-cycles into a Result.
-func finish(e *sim.Engine, cfg Config, pat Pattern, n int, banks []*sim.Server, totals []sim.Time) Result {
-	if err := e.Run(); err != nil {
-		panic(err)
-	}
-	var sum float64
-	for _, t := range totals {
-		sum += float64(t)
-	}
-	avg := sum / float64(cfg.Procs) / float64(n)
-	var maxUtil float64
-	end := float64(e.Now())
-	for _, b := range banks {
-		if end > 0 {
-			if u := float64(b.BusyCycles()) / end; u > maxUtil {
-				maxUtil = u
-			}
-		}
-	}
-	return Result{Config: cfg, Pattern: pat, Accesses: n, AvgCycles: avg, MaxBankUtil: maxUtil}
+// spawnStep starts processor pid as a stepAccessor.
+func spawnStep(e *sim.Engine, m *machine, pid int, name string, seed int64) {
+	e.SpawnStepSeeded(name, seed, stepAccessor(m, pid))
 }
 
 // RunObserved is Run with an observability recorder (nil behaves exactly
@@ -362,6 +326,12 @@ func finish(e *sim.Engine, cfg Config, pat Pattern, n int, banks []*sim.Server, 
 // end-to-end access-time histogram, and bank-occupancy trace spans keyed by
 // pattern so Random, Conflict and NoConflict render as separate processes.
 func RunObserved(cfg Config, pat Pattern, accessesPerProc int, seed int64, rec *obs.Recorder) Result {
+	return runObserved(cfg, pat, accessesPerProc, seed, rec, spawnStep)
+}
+
+// runObserved is RunObserved with the processor spawner as a parameter, so
+// tests can run the goroutine reference accessor on the same machine.
+func runObserved(cfg Config, pat Pattern, accessesPerProc int, seed int64, rec *obs.Recorder, spawn spawnFn) Result {
 	if cfg.Procs <= 0 || cfg.Banks <= 0 {
 		panic("membank: procs and banks must be positive")
 	}
@@ -369,18 +339,42 @@ func RunObserved(cfg Config, pat Pattern, accessesPerProc int, seed int64, rec *
 	if rec != nil {
 		e.Observe(rec)
 	}
-	bo := newBankObs(rec, cfg, pat)
-	banks := make([]*sim.Server, cfg.Banks)
-	for i := range banks {
-		banks[i] = e.NewServer()
+	m := &machine{
+		cfg:    cfg,
+		pick:   patternPick(cfg, pat),
+		n:      accessesPerProc,
+		banks:  make([]*sim.Server, cfg.Banks),
+		bo:     newBankObs(rec, cfg, pat),
+		totals: make([]sim.Time, cfg.Procs),
 	}
-	var medium *sim.Server
+	for i := range m.banks {
+		m.banks[i] = e.NewServer()
+	}
 	if cfg.SharedMedium {
-		medium = e.NewServer()
+		m.medium = e.NewServer()
 	}
-	totals := make([]sim.Time, cfg.Procs)
-	spawnAccessors(e, cfg, patternPick(cfg, pat), accessesPerProc, banks, medium, bo, totals, seed)
-	return finish(e, cfg, pat, accessesPerProc, banks, totals)
+	for pid := 0; pid < cfg.Procs; pid++ {
+		spawn(e, m, pid, fmt.Sprintf("proc%d", pid), int64(stats.Mix64(uint64(seed), uint64(pid))))
+	}
+	if err := e.Run(); err != nil {
+		panic(err)
+	}
+
+	var sum float64
+	for _, t := range m.totals {
+		sum += float64(t)
+	}
+	avg := sum / float64(cfg.Procs) / float64(accessesPerProc)
+	var maxUtil float64
+	end := float64(e.Now())
+	for _, b := range m.banks {
+		if end > 0 {
+			if u := float64(b.BusyCycles()) / end; u > maxUtil {
+				maxUtil = u
+			}
+		}
+	}
+	return Result{Config: cfg, Pattern: pat, Accesses: accessesPerProc, AvgCycles: avg, MaxBankUtil: maxUtil}
 }
 
 // RunAll measures every pattern on cfg.
@@ -396,35 +390,4 @@ func RunAllObserved(cfg Config, accessesPerProc int, seed int64, rec *obs.Record
 		out = append(out, RunObserved(cfg, pat, accessesPerProc, seed, rec))
 	}
 	return out
-}
-
-// RunHotFraction runs the microbenchmark with a partial hot spot: each
-// access targets bank 0 with probability hotFrac and a uniformly random
-// bank otherwise — the paper's closing caveat that real programs are less
-// concurrent than the stress patterns. Deterministic in seed.
-func RunHotFraction(cfg Config, hotFrac float64, accessesPerProc int, seed int64) Result {
-	if hotFrac < 0 || hotFrac > 1 {
-		panic("membank: hotFrac must be in [0,1]")
-	}
-	e := sim.NewEngine()
-	banks := make([]*sim.Server, cfg.Banks)
-	for i := range banks {
-		banks[i] = e.NewServer()
-	}
-	var medium *sim.Server
-	if cfg.SharedMedium {
-		medium = e.NewServer()
-	}
-	totals := make([]sim.Time, cfg.Procs)
-	// Both draws happen on every access so the rng stream is pattern-shaped
-	// only by hotFrac, not by which branch wins.
-	pick := func(_ int, rng *rand.Rand) int {
-		bank := rng.Intn(cfg.Banks)
-		if rng.Float64() < hotFrac {
-			bank = 0
-		}
-		return bank
-	}
-	spawnAccessors(e, cfg, pick, accessesPerProc, banks, medium, bankObs{}, totals, seed)
-	return finish(e, cfg, Random, accessesPerProc, banks, totals)
 }

@@ -122,38 +122,3 @@ func BenchmarkMembankRandom(b *testing.B) {
 		Run(cfg, Random, 100, int64(i))
 	}
 }
-
-func TestHotFractionMonotone(t *testing.T) {
-	cfg := SMPNative()
-	prev := 0.0
-	for _, f := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		r := RunHotFraction(cfg, f, 400, 3)
-		if r.AvgCycles < prev*0.98 { // allow sampling jitter at low fractions
-			t.Errorf("hotFrac %.2f: avg %.0f below previous %.0f", f, r.AvgCycles, prev)
-		}
-		prev = r.AvgCycles
-	}
-}
-
-func TestHotFractionEndpointsMatchPatterns(t *testing.T) {
-	cfg := CrayT3E()
-	full := RunHotFraction(cfg, 1, 300, 1)
-	conflict := Run(cfg, Conflict, 300, 1)
-	if ratio := full.AvgCycles / conflict.AvgCycles; ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("hotFrac=1 vs Conflict ratio %.2f, want ~1", ratio)
-	}
-	none := RunHotFraction(cfg, 0, 300, 1)
-	random := Run(cfg, Random, 300, 1)
-	if ratio := none.AvgCycles / random.AvgCycles; ratio < 0.8 || ratio > 1.2 {
-		t.Errorf("hotFrac=0 vs Random ratio %.2f, want ~1", ratio)
-	}
-}
-
-func TestHotFractionBadInputPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("hotFrac > 1 did not panic")
-		}
-	}()
-	RunHotFraction(SMPNative(), 1.5, 10, 1)
-}

@@ -8,71 +8,59 @@ import (
 	"repro/internal/sim"
 )
 
-// withStepProcs runs fn with the process-kind switch forced to v, restoring
-// the default afterwards. The switch is a package global, so tests using it
-// must not run in parallel.
-func withStepProcs(v bool, fn func()) {
-	old := sim.UseStepProcs
-	sim.UseStepProcs = v
-	defer func() { sim.UseStepProcs = old }()
-	fn()
+// goAccessor is processor pid in goroutine form: n synchronous accesses,
+// each a ReqOverhead advance, the reservations, and an advance to the reply.
+// It is the reference semantics stepAccessor must reproduce exactly.
+func goAccessor(m *machine, pid int) func(*sim.Proc) {
+	return func(p *sim.Proc) {
+		rng := p.Rand()
+		start := p.Now()
+		for a := 0; a < m.n; a++ {
+			bank := m.pick(pid, rng)
+			t0 := p.Now()
+			p.Advance(m.cfg.ReqOverhead)
+			done := m.access(p.Now(), bank)
+			p.Advance(done - p.Now())
+			m.bo.cycles.Observe(float64(p.Now() - t0))
+		}
+		m.totals[pid] = p.Now() - start
+	}
+}
+
+// spawnGo starts processor pid as a goAccessor.
+func spawnGo(e *sim.Engine, m *machine, pid int, name string, seed int64) {
+	e.SpawnSeeded(name, seed, goAccessor(m, pid))
+}
+
+// runMetrics runs one observed simulation with the given spawner and
+// returns its Result and metrics JSON.
+func runMetrics(t *testing.T, cfg Config, pat Pattern, spawn spawnFn) (Result, []byte) {
+	t.Helper()
+	sink := obs.NewSink(obs.Config{Metrics: true})
+	r := runObserved(cfg, pat, 80, 7, sink.Recorder(sink.Reserve(1)), spawn)
+	var m bytes.Buffer
+	if err := sink.Merged().WriteMetricsJSON(&m); err != nil {
+		t.Fatal(err)
+	}
+	return r, m.Bytes()
 }
 
 // TestSteppedMatchesGoroutine pins the stepped accessor against the
 // goroutine reference semantics: identical Results and identical metrics
-// (every counter, histogram bucket, and trace span) for every architecture
-// and pattern, plus the hot-fraction path. This is the membank-local half of
-// the byte-identical guarantee; internal/experiments' differential suite
-// covers the rendered tables.
+// (every counter and histogram bucket) for every architecture and pattern.
+// The experiments package's golden tables pin the rendered output.
 func TestSteppedMatchesGoroutine(t *testing.T) {
 	for _, cfg := range AllConfigs() {
 		for _, pat := range []Pattern{Random, Conflict, NoConflict} {
-			var rStep, rGo Result
-			var mStep, mGo bytes.Buffer
-			withStepProcs(true, func() {
-				sink := obs.NewSink(obs.Config{Metrics: true})
-				rStep = RunObserved(cfg, pat, 80, 7, sink.Recorder(sink.Reserve(1)))
-				if err := sink.Merged().WriteMetricsJSON(&mStep); err != nil {
-					t.Fatal(err)
-				}
-			})
-			withStepProcs(false, func() {
-				sink := obs.NewSink(obs.Config{Metrics: true})
-				rGo = RunObserved(cfg, pat, 80, 7, sink.Recorder(sink.Reserve(1)))
-				if err := sink.Merged().WriteMetricsJSON(&mGo); err != nil {
-					t.Fatal(err)
-				}
-			})
+			rStep, mStep := runMetrics(t, cfg, pat, spawnStep)
+			rGo, mGo := runMetrics(t, cfg, pat, spawnGo)
 			if rStep != rGo {
 				t.Errorf("%s/%s: stepped result %+v != goroutine result %+v", cfg.Name, pat, rStep, rGo)
 			}
-			if !bytes.Equal(mStep.Bytes(), mGo.Bytes()) {
+			if !bytes.Equal(mStep, mGo) {
 				t.Errorf("%s/%s: stepped metrics diverge from goroutine metrics (%d vs %d bytes)",
-					cfg.Name, pat, mStep.Len(), mGo.Len())
+					cfg.Name, pat, len(mStep), len(mGo))
 			}
-		}
-		var hStep, hGo Result
-		withStepProcs(true, func() { hStep = RunHotFraction(cfg, 0.3, 80, 7) })
-		withStepProcs(false, func() { hGo = RunHotFraction(cfg, 0.3, 80, 7) })
-		if hStep != hGo {
-			t.Errorf("%s: hot-fraction stepped %+v != goroutine %+v", cfg.Name, hStep, hGo)
-		}
-	}
-}
-
-// TestSteppedMatchesGoroutineOnCalendar repeats the core comparison on the
-// calendar-queue scheduler, so both engine switches are covered jointly.
-func TestSteppedMatchesGoroutineOnCalendar(t *testing.T) {
-	oldSched := sim.DefaultScheduler
-	sim.DefaultScheduler = sim.SchedCalendar
-	defer func() { sim.DefaultScheduler = oldSched }()
-	cfg := SMPNative()
-	for _, pat := range []Pattern{Random, Conflict, NoConflict} {
-		var rStep, rGo Result
-		withStepProcs(true, func() { rStep = Run(cfg, pat, 120, 3) })
-		withStepProcs(false, func() { rGo = Run(cfg, pat, 120, 3) })
-		if rStep != rGo {
-			t.Errorf("%s/%s on calendar: stepped %+v != goroutine %+v", cfg.Name, pat, rStep, rGo)
 		}
 	}
 }

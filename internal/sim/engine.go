@@ -24,9 +24,8 @@
 // by sequence number, a simulation with a fixed seed is fully reproducible.
 //
 // Events scheduled for the current instant bypass the time-ordered
-// scheduler and drain through a FIFO ring (the same-timestamp cohort), and
-// the scheduler behind the future-event queue is selectable: the default
-// 4-ary heap or a calendar queue (see Scheduler).
+// scheduler and drain through a FIFO ring (the same-timestamp cohort);
+// future events wait in a 4-ary heap.
 //
 // Engines are single-threaded and carry no shared state, so independent
 // engines may run concurrently on separate goroutines; the experiment
@@ -57,37 +56,6 @@ var totalEvents atomic.Uint64
 // counts when Run returns.
 func TotalEvents() uint64 { return totalEvents.Load() }
 
-// Scheduler names a pending-event queue implementation.
-type Scheduler string
-
-// Available schedulers. SchedHeap is the default. Measured honestly
-// (BenchmarkHeapVsCalendarQueue, DESIGN.md): the calendar queue wins where
-// scheduler operations dominate — 2-3× per event on pure stepped-process
-// schedules, a few percent end-to-end on membank/fig7 — and ties on
-// goroutine-dominated workloads where the context switch is the cost. The
-// heap stays the default because its O(log n) bound holds for any schedule,
-// while the calendar queue degrades to full-bucket scans on schedules whose
-// event spacing defeats its width estimate; SchedCalendar is the measured
-// opt-in, not a heuristic.
-const (
-	SchedHeap     Scheduler = "heap"
-	SchedCalendar Scheduler = "calendar"
-)
-
-// DefaultScheduler selects the scheduler NewEngine uses. It exists so one
-// switch (cmd/qsmbench -sched) can steer every engine an experiment builds,
-// including those built on worker goroutines; set it before engines are
-// created, not while simulations run. Results are byte-identical under
-// either scheduler — only wall-clock speed differs.
-var DefaultScheduler = SchedHeap
-
-// UseStepProcs selects whether converted subsystems (internal/membank) run
-// their hot processes as state-machine StepProcs (true, the default) or as
-// goroutine Procs. Both modes produce byte-identical simulation results;
-// the goroutine mode exists for differential testing and as the reference
-// semantics. Set it before engines are created, not while simulations run.
-var UseStepProcs = true
-
 // Engine is a deterministic discrete-event simulator. The zero value is not
 // usable; create engines with NewEngine.
 type Engine struct {
@@ -97,10 +65,8 @@ type Engine struct {
 	// Pending events live in one of two places: nowq, a FIFO ring holding
 	// the remainder of the current instant's cohort (events scheduled for
 	// t == now while the engine executes that instant), and the
-	// time-ordered scheduler behind it — the 4-ary heap by default, or the
-	// calendar queue when selected. Exactly one of cal/heap is active.
+	// time-ordered 4-ary heap behind it.
 	heap eventHeap
-	cal  *calQueue
 	nowq eventRing
 
 	free    []*event // recycled event structs, refilled as events fire
@@ -120,18 +86,8 @@ type Engine struct {
 	obsDwell   *obs.Histogram
 }
 
-// NewEngine returns an empty engine at time zero using DefaultScheduler.
-func NewEngine() *Engine { return NewEngineSched(DefaultScheduler) }
-
-// NewEngineSched returns an empty engine at time zero using the named
-// scheduler.
-func NewEngineSched(kind Scheduler) *Engine {
-	e := &Engine{yieldCh: make(chan *Proc)}
-	if kind == SchedCalendar {
-		e.cal = newCalQueue()
-	}
-	return e
-}
+// NewEngine returns an empty engine at time zero.
+func NewEngine() *Engine { return &Engine{yieldCh: make(chan *Proc)} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -235,8 +191,6 @@ func (e *Engine) recycle(ev *event) {
 func (e *Engine) qpush(ev *event) {
 	if ev.at == e.now {
 		e.nowq.push(ev)
-	} else if e.cal != nil {
-		e.cal.push(ev)
 	} else {
 		e.heap.push(ev)
 	}
@@ -244,33 +198,17 @@ func (e *Engine) qpush(ev *event) {
 }
 
 // qpop removes the earliest event from the time-ordered scheduler.
-func (e *Engine) qpop() *event {
-	if e.cal != nil {
-		return e.cal.popMin()
-	}
-	return e.heap.popMin()
-}
+func (e *Engine) qpop() *event { return e.heap.popMin() }
 
 // pending returns the total number of queued events across both stores.
-func (e *Engine) pending() int {
-	n := e.heap.Len() + e.nowq.count
-	if e.cal != nil {
-		n += e.cal.Len()
-	}
-	return n
-}
+func (e *Engine) pending() int { return e.heap.Len() + e.nowq.count }
 
 // peekLive returns the scheduler's earliest live event without removing it,
 // recycling any cancelled events found at the front. nil means the
 // time-ordered scheduler is empty (the nowq ring may still hold events).
 func (e *Engine) peekLive() *event {
 	for {
-		var ev *event
-		if e.cal != nil {
-			ev = e.cal.peek()
-		} else {
-			ev = e.heap.peek()
-		}
+		ev := e.heap.peek()
 		if ev == nil || !ev.cancelled {
 			return ev
 		}

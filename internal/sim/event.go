@@ -26,8 +26,8 @@ type event struct {
 // event is a no-op.
 func (ev *event) Cancel() { ev.cancelled = true }
 
-// eventLess orders events by (at, seq): the scheduler invariant every queue
-// implementation (4-ary heap, calendar queue, same-time ring) must preserve.
+// eventLess orders events by (at, seq): the invariant both pending-event
+// stores (the 4-ary heap and the same-time ring) preserve.
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -38,7 +38,6 @@ func eventLess(a, b *event) bool {
 // eventHeap is a concrete 4-ary min-heap ordered by (at, seq). The wide node
 // halves the tree depth of the binary heap it replaced, and the monomorphic
 // methods avoid container/heap's interface boxing on every push and pop.
-// It is the engine's default scheduler; see calQueue for the alternative.
 type eventHeap struct{ evs []*event }
 
 func (h *eventHeap) Len() int { return len(h.evs) }

@@ -45,7 +45,8 @@ type StepFn func(*StepProc) Status
 // Scheduling is identical to Proc's: Sleep(d) consumes the same (time, seq)
 // slot Advance(d) would, so a simulation converted between the two forms
 // executes events in exactly the same order and produces byte-identical
-// results. The differential tests in internal/experiments pin this.
+// results. internal/membank's TestSteppedMatchesGoroutine pins this for the
+// bank accessors.
 type StepProc struct {
 	e    *Engine
 	id   int
