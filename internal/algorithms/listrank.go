@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/workload"
@@ -137,22 +139,15 @@ func (a ListRank) Program() core.Program {
 		removedAt := make([][]removal, iters)
 		rng := ctx.Rand()
 
+		// flips[k] is active[k]'s flip: active changes only in phase C,
+		// after the flips generated for it have been read.
 		flips := make([]int64, 0, len(active))
-		flipIdx := make([]int, 0, len(active))
-		myFlip := map[int]int64{}
 		genFlips := func() {
 			flips = flips[:0]
-			flipIdx = flipIdx[:0]
-			for k := range myFlip {
-				delete(myFlip, k)
+			for range active {
+				flips = append(flips, int64(rng.Intn(2)))
 			}
-			for _, i := range active {
-				f := int64(rng.Intn(2))
-				flips = append(flips, f)
-				flipIdx = append(flipIdx, i)
-				myFlip[i] = f
-			}
-			ctx.PutIndexed(F, flipIdx, flips)
+			ctx.PutIndexed(F, active, flips)
 			ctx.Compute(cpu.BlockFlipGenerate(len(active)))
 		}
 
@@ -162,9 +157,15 @@ func (a ListRank) Program() core.Program {
 		}
 		ctx.Sync() // flips of iteration 0 committed
 
-		sBuf := make([]int64, 0, len(active))
-		pBuf := make([]int64, 0, len(active))
-		rBuf := make([]int64, 0, len(active))
+		// Scratch reused every iteration: Put* copies its input, and Get*
+		// destinations are read only after the Sync that fills them.
+		// removed is indexed by i-lo; eliminated elements never return.
+		removed := make([]bool, hi-lo)
+		cand := make([]int, 0, len(active)/2)
+		succIdx := make([]int, 0, len(active)/2)
+		var sf, sr []int64
+		var spliceS, spliceSucc []int // splice targets in S, and in P and R
+		var sVals, pVals, rVals []int64
 		var sAll, pAll, rAll []int64
 		if hi > lo {
 			sAll = make([]int64, hi-lo)
@@ -176,67 +177,61 @@ func (a ListRank) Program() core.Program {
 				a.Trace.Active[t][id] = int64(len(active))
 			}
 			// Refresh local mirrors of this processor's partition: splices
-			// from the previous iteration may have rewritten them.
+			// from the previous iteration may have rewritten them. Phase B
+			// only reads, so the mirrors stay current through phase C.
 			if hi > lo {
 				ctx.ReadLocal(S, lo, sAll)
 				ctx.ReadLocal(P, lo, pAll)
 				ctx.ReadLocal(R, lo, rAll)
 			}
-			sBuf = sBuf[:0]
-			pBuf = pBuf[:0]
-			rBuf = rBuf[:0]
-			for _, i := range active {
-				sBuf = append(sBuf, sAll[i-lo])
-				pBuf = append(pBuf, pAll[i-lo])
-				rBuf = append(rBuf, rAll[i-lo])
-			}
 			ctx.Compute(cpu.BlockCompact(len(active)))
 
 			// Phase B: candidates (flipped 1, not head, has successor)
 			// prefetch the successor's flip and rank.
-			cand := make([]int, 0, len(active)/2)
-			succIdx := make([]int, 0, len(active)/2)
+			cand = cand[:0]
+			succIdx = succIdx[:0]
 			for k, i := range active {
-				if i == head || sBuf[k] < 0 || myFlip[i] != 1 {
+				if i == head || sAll[i-lo] < 0 || flips[k] != 1 {
 					continue
 				}
 				cand = append(cand, k)
-				succIdx = append(succIdx, int(sBuf[k]))
+				succIdx = append(succIdx, int(sAll[i-lo]))
 			}
-			sf := make([]int64, len(cand))
-			sr := make([]int64, len(cand))
+			sf = slices.Grow(sf[:0], len(cand))[:len(cand)]
+			sr = slices.Grow(sr[:0], len(cand))[:len(cand)]
 			ctx.GetIndexed(F, succIdx, sf)
 			ctx.GetIndexed(R, succIdx, sr)
 			ctx.Sync() // phase B of iteration t
 
 			// Phase C: splice out elements whose successor flipped 0, and
 			// (merged) generate the next iteration's flips.
-			var remIdx []int
-			var remVals []int64
-			keep := active[:0]
-			removedHere := map[int]bool{}
+			spliceS, spliceSucc = spliceS[:0], spliceSucc[:0]
+			sVals, pVals, rVals = sVals[:0], pVals[:0], rVals[:0]
 			for ci, k := range cand {
 				if sf[ci] != 0 {
 					continue
 				}
 				i := active[k]
-				succ := int(sBuf[k])
-				pred := int(pBuf[k])
+				succ, pred, w := sAll[i-lo], pAll[i-lo], rAll[i-lo]
 				// S[pred] = succ; P[succ] = pred; R[succ] += R[i].
-				remIdx = append(remIdx, predS(n, pred), predP(n, succ), predR(n, succ))
-				remVals = append(remVals, int64(succ), int64(pred), sr[ci]+rBuf[k])
-				removedAt[t] = append(removedAt[t], removal{id: i, pred: pred, weight: rBuf[k]})
-				removedHere[i] = true
+				spliceS = append(spliceS, int(pred))
+				spliceSucc = append(spliceSucc, int(succ))
+				sVals = append(sVals, succ)
+				pVals = append(pVals, pred)
+				rVals = append(rVals, sr[ci]+w)
+				removedAt[t] = append(removedAt[t], removal{id: i, pred: int(pred), weight: w})
+				removed[i-lo] = true
 			}
+			keep := active[:0]
 			for _, i := range active {
-				if !removedHere[i] {
+				if !removed[i-lo] {
 					keep = append(keep, i)
 				}
 			}
 			active = keep
-			// The three target arrays are registered separately; encode the
-			// (array, index) pairs through three PutIndexed calls instead.
-			splitPut(ctx, S, P, R, n, remIdx, remVals)
+			ctx.PutIndexed(S, spliceS, sVals)
+			ctx.PutIndexed(P, spliceSucc, pVals)
+			ctx.PutIndexed(R, spliceSucc, rVals)
 			ctx.Compute(cpu.BlockCompact(len(cand)))
 			if t+1 < iters {
 				genFlips()
@@ -335,52 +330,27 @@ func (a ListRank) Program() core.Program {
 
 		// Major step 3: expansion — re-insert eliminated elements in reverse
 		// order; each takes rank(pred) + its recorded link weight.
+		var predIdx, myIdx []int
+		var pr, myRank []int64
 		for t := iters - 1; t >= 0; t-- {
 			rem := removedAt[t]
-			predIdx := make([]int, len(rem))
-			for k, rm := range rem {
-				predIdx[k] = rm.pred
+			predIdx = predIdx[:0]
+			for _, rm := range rem {
+				predIdx = append(predIdx, rm.pred)
 			}
-			pr := make([]int64, len(rem))
+			pr = slices.Grow(pr[:0], len(rem))[:len(rem)]
 			ctx.GetIndexed(R, predIdx, pr)
 			ctx.Sync() // expansion phase X_t
 
-			myIdx := make([]int, len(rem))
-			myRank := make([]int64, len(rem))
+			myIdx = myIdx[:0]
+			myRank = myRank[:0]
 			for k, rm := range rem {
-				myIdx[k] = rm.id
-				myRank[k] = pr[k] + rm.weight
+				myIdx = append(myIdx, rm.id)
+				myRank = append(myRank, pr[k]+rm.weight)
 			}
 			ctx.PutIndexed(R, myIdx, myRank)
 			ctx.Compute(cpu.BlockCompact(len(rem)))
 			ctx.Sync() // expansion phase Y_t
 		}
 	}
-}
-
-// The splice writes of phase C target three different arrays; remIdx packs
-// them as n*0+i (S), n*1+i (P), n*2+i (R) and splitPut unpacks.
-func predS(n, i int) int { return i }
-func predP(n, i int) int { return n + i }
-func predR(n, i int) int { return 2*n + i }
-
-func splitPut(ctx core.Ctx, S, P, R core.Handle, n int, idx []int, vals []int64) {
-	var si, pi, ri []int
-	var sv, pv, rv []int64
-	for k, ix := range idx {
-		switch {
-		case ix < n:
-			si = append(si, ix)
-			sv = append(sv, vals[k])
-		case ix < 2*n:
-			pi = append(pi, ix-n)
-			pv = append(pv, vals[k])
-		default:
-			ri = append(ri, ix-2*n)
-			rv = append(rv, vals[k])
-		}
-	}
-	ctx.PutIndexed(S, si, sv)
-	ctx.PutIndexed(P, pi, pv)
-	ctx.PutIndexed(R, ri, rv)
 }

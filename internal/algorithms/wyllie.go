@@ -60,6 +60,9 @@ func (a WyllieListRank) Program() core.Program {
 		jumpPos := make([]int, 0, mine)
 		predP := make([]int64, 0, mine)
 		predR := make([]int64, 0, mine)
+		wIdx := make([]int, 0, mine)
+		rVals := make([]int64, 0, mine)
+		pVals := make([]int64, 0, mine)
 		for round := 0; round < rounds; round++ {
 			if mine > 0 {
 				ctx.ReadLocal(P, lo, pBuf)
@@ -73,8 +76,8 @@ func (a WyllieListRank) Program() core.Program {
 					jumpPos = append(jumpPos, k)
 				}
 			}
-			predP = append(predP[:0], make([]int64, len(jumpIdx))...)
-			predR = append(predR[:0], make([]int64, len(jumpIdx))...)
+			predP = predP[:len(jumpIdx)]
+			predR = predR[:len(jumpIdx)]
 			ctx.GetIndexed(P, jumpIdx, predP)
 			ctx.GetIndexed(R, jumpIdx, predR)
 			ctx.Compute(cpu.BlockCompact(mine))
@@ -83,9 +86,9 @@ func (a WyllieListRank) Program() core.Program {
 			// Apply the jump: R[i] += R[pred]; P[i] = P[pred]. Own words
 			// are committed via puts so remote readers see a consistent
 			// snapshot next phase.
-			wIdx := make([]int, 0, len(jumpPos))
-			rVals := make([]int64, 0, len(jumpPos))
-			pVals := make([]int64, 0, len(jumpPos))
+			wIdx = wIdx[:0]
+			rVals = rVals[:0]
+			pVals = pVals[:0]
 			for j, k := range jumpPos {
 				rBuf[k] += predR[j]
 				wIdx = append(wIdx, lo+k)

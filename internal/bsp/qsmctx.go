@@ -3,7 +3,7 @@ package bsp
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -164,10 +164,16 @@ type qsmProc struct {
 	qm     *QSMMachine
 	pc     *Proc
 	fixups []fixup
+
+	// Owner-grouping scratch for scattered puts and gets; Proc.PutIndexed
+	// and Proc.GetIndexed copy the slots, and PutIndexed the values.
+	bk    core.Buckets
+	slots []int
+	vals  []int64
 }
 
 // fixup scatters a temporary get buffer into the caller's destination after
-// the superstep delivers it.
+// the superstep delivers it: tmp[k] lands in dst[pos[k]].
 type fixup struct {
 	tmp []int64
 	dst []int64
@@ -199,28 +205,19 @@ func (q *qsmProc) Free(h core.Handle) {
 
 func (q *qsmProc) Compute(b cpu.OpBlock) { q.pc.Compute(b) }
 
-// group splits global indices by owner into per-owner local slots.
-type ownerGroup struct {
-	slots []int
-	pos   []int // positions in the caller's buffer
-}
-
-func (q *qsmProc) groupByOwner(a *emuArray, idx []int) map[int]*ownerGroup {
-	gs := map[int]*ownerGroup{}
-	for k, i := range idx {
+// bucket groups idx by owner (ascending, call order within an owner) and
+// fills q.slots with each grouped word's slot in its owner's region.
+func (q *qsmProc) bucket(a *emuArray, idx []int) {
+	for _, i := range idx {
 		if i < 0 || i >= a.n {
 			panic(fmt.Sprintf("bsp: index %d out of range for QSM array %q (len %d)", i, a.name, a.n))
 		}
-		o := a.lay.OwnerOf(i)
-		g := gs[o]
-		if g == nil {
-			g = &ownerGroup{}
-			gs[o] = g
-		}
-		g.slots = append(g.slots, a.slot(i))
-		g.pos = append(g.pos, k)
 	}
-	return gs
+	a.lay.Bucket(idx, &q.bk)
+	q.slots = slices.Grow(q.slots[:0], len(idx))[:len(idx)]
+	for j, k := range q.bk.Order {
+		q.slots[j] = a.slot(idx[k])
+	}
 }
 
 func (q *qsmProc) Put(h core.Handle, off int, src []int64) {
@@ -252,25 +249,17 @@ func (q *qsmProc) PutIndexed(h core.Handle, idx []int, src []int64) {
 }
 
 func (q *qsmProc) putScattered(a *emuArray, idx []int, src []int64) {
-	gs := q.groupByOwner(a, idx)
-	for _, o := range sortedOwners(gs) {
-		g := gs[o]
-		vals := make([]int64, len(g.pos))
-		for k, p := range g.pos {
-			vals[k] = src[p]
+	q.bucket(a, idx)
+	q.vals = slices.Grow(q.vals[:0], len(idx))[:len(idx)]
+	for j, k := range q.bk.Order {
+		q.vals[j] = src[k]
+	}
+	st := q.bk.Start
+	for o := 0; o < q.P(); o++ {
+		if st[o] < st[o+1] {
+			q.pc.PutIndexed(o, a.reg, q.slots[st[o]:st[o+1]], q.vals[st[o]:st[o+1]])
 		}
-		q.pc.PutIndexed(o, a.reg, g.slots, vals)
 	}
-}
-
-// sortedOwners fixes the iteration order so simulations stay deterministic.
-func sortedOwners(gs map[int]*ownerGroup) []int {
-	owners := make([]int, 0, len(gs))
-	for o := range gs {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	return owners
 }
 
 func (q *qsmProc) Get(h core.Handle, off int, dst []int64) {
@@ -302,13 +291,19 @@ func (q *qsmProc) GetIndexed(h core.Handle, idx []int, dst []int64) {
 }
 
 func (q *qsmProc) getScattered(a *emuArray, idx []int, dst []int64) {
-	gs := q.groupByOwner(a, idx)
-	for _, o := range sortedOwners(gs) {
-		g := gs[o]
-		tmp := make([]int64, len(g.slots))
-		q.pc.GetIndexed(o, a.reg, g.slots, tmp)
-		q.fixups = append(q.fixups, fixup{tmp: tmp, dst: dst, pos: g.pos})
+	q.bucket(a, idx)
+	tmp := make([]int64, len(idx))
+	pos := make([]int, len(idx))
+	for j, k := range q.bk.Order {
+		pos[j] = int(k)
 	}
+	st := q.bk.Start
+	for o := 0; o < q.P(); o++ {
+		if st[o] < st[o+1] {
+			q.pc.GetIndexed(o, a.reg, q.slots[st[o]:st[o+1]], tmp[st[o]:st[o+1]])
+		}
+	}
+	q.fixups = append(q.fixups, fixup{tmp: tmp, dst: dst, pos: pos})
 }
 
 func (q *qsmProc) ReadLocal(h core.Handle, off int, dst []int64) {

@@ -49,6 +49,67 @@ func (l Layout) OwnerOf(i int) int {
 	}
 }
 
+// Buckets is reusable scratch for Layout.Bucket. After a call, owner o's
+// entries are Order[Start[o]:Start[o+1]].
+type Buckets struct {
+	Start []int   // P+1 offsets into Order
+	Order []int32 // positions in the caller's idx, grouped by owner
+	own   []int32
+	next  []int
+}
+
+// Bucket groups idx by owning processor with a stable counting sort: owners
+// come out in ascending order and each owner's positions keep call order.
+// Each index's owner is computed once; b's slices are grown as needed, so
+// a reused Buckets makes the call allocation-free.
+func (l Layout) Bucket(idx []int, b *Buckets) {
+	n := len(idx)
+	if cap(b.own) < n {
+		b.own = make([]int32, n)
+		b.Order = make([]int32, n)
+	}
+	if cap(b.Start) < l.P+1 {
+		b.Start = make([]int, l.P+1)
+		b.next = make([]int, l.P)
+	}
+	own, start, next := b.own[:n], b.Start[:l.P+1], b.next[:l.P]
+	clear(next)
+	switch l.Kind {
+	case LayoutCyclic:
+		for k, i := range idx {
+			own[k] = int32(i % l.P)
+		}
+	case LayoutHashed:
+		for k, i := range idx {
+			own[k] = int32(stats.Mix64(l.HSeed, uint64(i)) % uint64(l.P))
+		}
+	case LayoutSingle:
+		for k := range own {
+			own[k] = int32(l.Owner)
+		}
+	default:
+		for k, i := range idx {
+			own[k] = int32(min(i/l.Block, l.P-1))
+		}
+	}
+	for _, o := range own {
+		next[o]++
+	}
+	s := 0
+	for o, cnt := range next {
+		start[o] = s
+		next[o] = s
+		s += cnt
+	}
+	start[l.P] = s
+	order := b.Order[:n]
+	for k, o := range own {
+		order[next[o]] = int32(k)
+		next[o]++
+	}
+	b.Start, b.Order = start, order
+}
+
 // PerOwner returns how many words of [off, off+n) each processor owns.
 func (l Layout) PerOwner(off, n int) []int {
 	per := make([]int, l.P)

@@ -14,6 +14,7 @@ type proc struct {
 	id   int
 	rng  *rand.Rand
 	gets []getOp
+	bk   core.Buckets // owner grouping for PutIndexed
 }
 
 type getOp struct {
@@ -97,24 +98,24 @@ func (pc *proc) PutIndexed(h core.Handle, idx []int, src []int64) {
 		return
 	}
 	a := pc.m.lookup(h)
-	p := pc.m.p
-	byOwner := make(map[int]*putSeg)
-	for i, ix := range idx {
+	for _, ix := range idx {
 		if ix < 0 || ix >= len(a.data) {
 			panic(fmt.Sprintf("par: index %d out of range for %q (len %d)", ix, a.name, len(a.data)))
 		}
-		o := a.lay.OwnerOf(ix)
-		seg := byOwner[o]
-		if seg == nil {
-			seg = &putSeg{h: h}
-			byOwner[o] = seg
-		}
-		seg.idx = append(seg.idx, ix)
-		seg.vals = append(seg.vals, src[i])
 	}
-	for o, seg := range byOwner {
-		box := &pc.m.mail[pc.id*p+o]
-		*box = append(*box, *seg)
+	a.lay.Bucket(idx, &pc.bk)
+	gIdx := make([]int, len(idx))
+	gVals := make([]int64, len(idx))
+	for j, k := range pc.bk.Order {
+		gIdx[j] = idx[k]
+		gVals[j] = src[k]
+	}
+	st := pc.bk.Start
+	for o := 0; o < pc.m.p; o++ {
+		if st[o] < st[o+1] {
+			box := &pc.m.mail[pc.id*pc.m.p+o]
+			*box = append(*box, putSeg{h: h, idx: gIdx[st[o]:st[o+1]], vals: gVals[st[o]:st[o+1]]})
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package qsmlib
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -75,6 +74,17 @@ type qctx struct {
 	selfReqs []getReq
 	pending  []pendingGet
 
+	// Scratch reused across phases. Messages built from it are consumed by
+	// their receivers before the barrier that ends the phase, so nothing
+	// sent is rewritten while a peer can still read it.
+	bk      core.Buckets // owner grouping for scattered puts and gets
+	order   []int        // exchange schedule
+	expect  []bool       // per peer: a data message follows the plan
+	in      [][]putSeg   // per source: puts received this phase
+	plans   []planMsg
+	out     []syncMsg
+	replies []replyMsg
+
 	commCycles sim.Time
 	timeline   []PhaseSpan
 
@@ -106,6 +116,12 @@ func newQctx(m *Machine, n *machine.Node) *qctx {
 		comm:    msg.NewComm(n, m.opts.SW),
 		outPuts: make([][]putSeg, p),
 		outReqs: make([][]getReq, p),
+		order:   peerOrder(p, n.ID(), m.opts.NaiveExchange),
+		expect:  make([]bool, p),
+		in:      make([][]putSeg, p),
+		plans:   make([]planMsg, p),
+		out:     make([]syncMsg, p),
+		replies: make([]replyMsg, p),
 	}
 	if rec := m.opts.Obs; rec != nil {
 		c.rec = rec
@@ -227,25 +243,23 @@ func (c *qctx) PutIndexed(h core.Handle, idx []int, src []int64) {
 	c.putScattered(a, h, idx, src)
 }
 
+// putScattered groups one call's writes by owner into a single idx and a
+// single vals allocation, sliced per owner in ascending owner order; within
+// an owner the words keep call order, so the last write in a call wins.
 func (c *qctx) putScattered(a *array, h core.Handle, idx []int, src []int64) {
-	byOwner := map[int]*putSeg{}
-	for i, ix := range idx {
-		o := a.lay.OwnerOf(ix)
-		seg := byOwner[o]
-		if seg == nil {
-			seg = &putSeg{h: h, off: -1}
-			byOwner[o] = seg
+	b := &c.bk
+	a.lay.Bucket(idx, b)
+	gIdx := make([]int, len(idx))
+	gVals := make([]int64, len(idx))
+	for j, k := range b.Order {
+		gIdx[j] = idx[k]
+		gVals[j] = src[k]
+	}
+	for o := range c.outPuts {
+		lo, hi := b.Start[o], b.Start[o+1]
+		if lo < hi {
+			c.outPuts[o] = append(c.outPuts[o], putSeg{h: h, off: -1, idx: gIdx[lo:hi:hi], vals: gVals[lo:hi:hi]})
 		}
-		seg.idx = append(seg.idx, ix)
-		seg.vals = append(seg.vals, src[i])
-	}
-	owners := make([]int, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	for _, o := range owners {
-		c.outPuts[o] = append(c.outPuts[o], *byOwner[o])
 	}
 }
 
@@ -285,30 +299,22 @@ func (c *qctx) GetIndexed(h core.Handle, idx []int, dst []int64) {
 	c.getScattered(a, h, idx, dst)
 }
 
+// getScattered is putScattered's read side, with one idx and one pos
+// allocation per call.
 func (c *qctx) getScattered(a *array, h core.Handle, idx []int, dst []int64) {
-	type group struct {
-		idx []int
-		pos []int
+	b := &c.bk
+	a.lay.Bucket(idx, b)
+	gIdx := make([]int, len(idx))
+	pos := make([]int, len(idx))
+	for j, k := range b.Order {
+		gIdx[j] = idx[k]
+		pos[j] = int(k)
 	}
-	byOwner := map[int]*group{}
-	for i, ix := range idx {
-		o := a.lay.OwnerOf(ix)
-		g := byOwner[o]
-		if g == nil {
-			g = &group{}
-			byOwner[o] = g
+	for o := range c.outReqs {
+		lo, hi := b.Start[o], b.Start[o+1]
+		if lo < hi {
+			c.addGet(o, getReq{h: h, off: -1, idx: gIdx[lo:hi:hi]}, pendingGet{dst: dst, pos: pos[lo:hi:hi]})
 		}
-		g.idx = append(g.idx, ix)
-		g.pos = append(g.pos, i)
-	}
-	owners := make([]int, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	for _, o := range owners {
-		g := byOwner[o]
-		c.addGet(o, getReq{h: h, off: -1, idx: g.idx}, pendingGet{dst: dst, pos: g.pos})
 	}
 }
 
@@ -389,12 +395,11 @@ func replyBytes(rm *replyMsg) int {
 	return b
 }
 
-// peerOrder returns the exchange schedule: staggered (node me talks to
-// (me+r) mod p in round r) unless the machine is configured naive.
-func (c *qctx) peerOrder() []int {
-	p, me := c.P(), c.ID()
+// peerOrder returns node me's exchange schedule: staggered (me talks to
+// (me+r) mod p in round r) unless naive, which walks peers in id order.
+func peerOrder(p, me int, naive bool) []int {
 	order := make([]int, 0, p-1)
-	if c.m.opts.NaiveExchange {
+	if naive {
 		for peer := 0; peer < p; peer++ {
 			if peer != me {
 				order = append(order, peer)
@@ -408,6 +413,25 @@ func (c *qctx) peerOrder() []int {
 	return order
 }
 
+// resetPhase empties the phase queues for reuse. It runs only after the
+// barrier, because peers read this node's puts, requests and replies until
+// they reach it; the entries are zeroed so their buffers can be collected.
+func (c *qctx) resetPhase() {
+	for i := range c.outPuts {
+		c.outPuts[i] = reuse(c.outPuts[i])
+		c.outReqs[i] = reuse(c.outReqs[i])
+		c.replies[i].items = reuse(c.replies[i].items)
+	}
+	clear(c.out)
+	c.selfReqs = reuse(c.selfReqs)
+	c.pending = reuse(c.pending)
+}
+
+func reuse[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
 // Sync runs the bulk-synchronous exchange protocol described in the package
 // comment and ends the phase.
 func (c *qctx) Sync() {
@@ -418,21 +442,21 @@ func (c *qctx) Sync() {
 	}
 	span.GetWords = len(c.pending)
 	p, me := c.P(), c.ID()
-	order := c.peerOrder()
+	order := c.order
 	gen := c.gen
 	c.gen++
 	tagPlan, tagData, tagReply := 3*gen, 3*gen+1, 3*gen+2
 
 	// 1. Distribute the communications plan.
 	for _, peer := range order {
-		pm := planMsg{putWords: words(c.outPuts[peer]), getReqs: len(c.outReqs[peer])}
+		pm := &c.plans[peer]
+		*pm = planMsg{putWords: words(c.outPuts[peer]), getReqs: len(c.outReqs[peer])}
 		c.comm.Send(peer, tagPlan, 16, pm)
 	}
-	expectData := make([]bool, p)
 	for r := 1; r < p; r++ {
 		peer := (me - r + p) % p
-		pm := c.comm.Recv(peer, tagPlan).Payload.(planMsg)
-		expectData[peer] = pm.putWords > 0 || pm.getReqs > 0
+		pm := c.comm.Recv(peer, tagPlan).Payload.(*planMsg)
+		c.expect[peer] = pm.putWords > 0 || pm.getReqs > 0
 	}
 
 	// 2. Data exchange (staggered by default): puts and get requests.
@@ -440,27 +464,21 @@ func (c *qctx) Sync() {
 		if len(c.outPuts[peer]) == 0 && len(c.outReqs[peer]) == 0 {
 			continue
 		}
-		sm := &syncMsg{puts: c.outPuts[peer], reqs: c.outReqs[peer]}
+		sm := &c.out[peer]
+		*sm = syncMsg{puts: c.outPuts[peer], reqs: c.outReqs[peer]}
 		c.comm.Send(peer, tagData, smBytes(sm), sm)
 	}
 
 	// 3. Receive data; serve get replies from pre-phase state.
-	type incoming struct {
-		src  int
-		puts []putSeg
-	}
-	var in []incoming
 	for r := 1; r < p; r++ {
 		peer := (me - r + p) % p
-		if !expectData[peer] {
+		if !c.expect[peer] {
 			continue
 		}
 		sm := c.comm.Recv(peer, tagData).Payload.(*syncMsg)
-		if len(sm.puts) > 0 {
-			in = append(in, incoming{src: peer, puts: sm.puts})
-		}
+		c.in[peer] = sm.puts
 		if len(sm.reqs) > 0 {
-			rm := &replyMsg{}
+			rm := &c.replies[peer]
 			w := 0
 			for _, rq := range sm.reqs {
 				vals := c.gather(rq)
@@ -499,9 +517,12 @@ func (c *qctx) Sync() {
 
 	// 6. Apply writes in source order (self included), so concurrent writes
 	// to one word resolve deterministically.
-	sort.Slice(in, func(i, j int) bool { return in[i].src < in[j].src })
 	applied := 0
-	apply := func(segs []putSeg) {
+	for src := 0; src < p; src++ {
+		segs := c.in[src]
+		if src == me {
+			segs = c.outPuts[me]
+		}
 		for _, s := range segs {
 			a := c.m.arr(s.h)
 			if s.idx == nil {
@@ -513,35 +534,19 @@ func (c *qctx) Sync() {
 			}
 			applied += len(s.vals)
 		}
-	}
-	ii := 0
-	for src := 0; src < p; src++ {
-		if src == me {
-			apply(c.outPuts[me])
-			continue
-		}
-		if ii < len(in) && in[ii].src == src {
-			apply(in[ii].puts)
-			ii++
-		}
+		c.in[src] = nil
 	}
 	if applied > 0 {
 		c.node.Busy(sim.Time(localPerWord * applied))
 	}
 
-	// 7. Reset phase state and synchronize.
-	for i := range c.outPuts {
-		c.outPuts[i] = nil
-		c.outReqs[i] = nil
-	}
-	c.selfReqs = nil
-	c.pending = nil
-
+	// 7. Synchronize, then reset the phase state.
 	if c.m.opts.TreeBarrier {
 		c.comm.TreeBarrier()
 	} else {
 		c.comm.Barrier()
 	}
+	c.resetPhase()
 	c.commCycles += c.node.Now() - t0
 	span.End = c.node.Now()
 	c.timeline = append(c.timeline, span)

@@ -238,6 +238,10 @@ type job struct {
 	// events is the job's replayable stream log behind
 	// GET /v1/jobs/{id}/events.
 	events *eventLog
+	// admitted is closed once a queued job's queued event is published. A
+	// worker waits on it before touching the job, so the stream always
+	// opens with queued even when the job is dequeued at once.
+	admitted chan struct{}
 
 	mu sync.Mutex
 	// quotaHeld marks the job as holding its tenant's concurrency slot,
@@ -523,6 +527,7 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (JobStatus, erro
 	j.mu.Lock()
 	j.quotaHeld = held
 	j.mu.Unlock()
+	j.admitted = make(chan struct{})
 	full := !s.queue.push(j)
 	if full {
 		delete(s.jobs, j.id)
@@ -539,8 +544,10 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, req Request) (JobStatus, erro
 	s.metric(func() { s.met.queueDepth.Set(int64(depth)) })
 	j.log.Info("job queued", "experiment", req.Experiment, "state", StateQueued, "queue_depth", depth,
 		"tenant", j.tenant, "priority", j.priority)
+	st := j.status()
 	s.notify(j)
-	return j.status(), nil
+	close(j.admitted)
+	return st, nil
 }
 
 // resolveTraceID picks the trace ID a submission runs under: a valid ID from
@@ -671,6 +678,9 @@ func (s *Scheduler) worker() {
 // serves everyone behind it — so cancelling a batch leader costs the
 // followers nothing but their place in line.
 func (s *Scheduler) runBatch(batch []*job) {
+	for _, j := range batch {
+		<-j.admitted
+	}
 	if len(batch) > 1 {
 		s.metric(func() { s.met.batches.Inc() })
 		batch[0].log.Info("batch admission coalesced identical submissions",
